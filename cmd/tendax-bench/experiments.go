@@ -2190,7 +2190,7 @@ func e18Storm(n, writers, keysPer, ackEvery int, syncful bool) (rate float64, el
 // E19: incremental index maintenance vs. rescan. The claim under test is
 // the one the index subsystem exists for: folding the op stream keeps
 // per-keystroke maintenance cost independent of corpus size (each fold is
-// O(1) bookkeeping plus an O(doc) re-tokenize of the edited document),
+// O(edit), and the Sync after it re-tokenizes only the edited document),
 // while the legacy rescan constructors grow with the corpus. Reported per
 // corpus size: per-keystroke cost with the indexer live and quiesced after
 // every key, full rescan time (search.BuildIndex + lineage.Build), query

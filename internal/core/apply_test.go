@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tendax/internal/awareness"
+	"tendax/internal/texttree"
 	"tendax/internal/util"
 )
 
@@ -360,5 +361,106 @@ func TestApplyDurableAcrossCrash(t *testing.T) {
 	}
 	if got := reload(t, e, d.ID()).Text(); got != "able" {
 		t.Fatalf("reloaded %q, want able", got)
+	}
+}
+
+// TestOnlyPasteCreatesSourcedInstances pins the invariant the incremental
+// indexer's O(edit) fold relies on: typed text (InsertText, AppendText,
+// their Async forms, Apply inserts) never carries a SourceDoc, and every
+// instance that does carry one was announced by an EvPaste event.
+func TestOnlyPasteCreatesSourcedInstances(t *testing.T) {
+	e := newEngine(t)
+	src, err := e.CreateDocument("alice", "source")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := e.CreateDocument("bob", "citer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.InsertText("alice", 0, "quoted words"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.AppendText("bob", "typed "); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dst.InsertTextAsync("bob", 0, "async "); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dst.AppendTextAsync("bob", "tail "); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Apply("bob", []EditOp{
+		{Kind: EditInsert, Pos: 0, Text: "ab"},
+		{Kind: EditInsert, AnchorPrev: true, Text: "c"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	clip, err := src.Copy("bob", 0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Paste("bob", 2, clip); err != nil {
+		t.Fatal(err)
+	}
+	selfClip, err := dst.Copy("bob", 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Paste("bob", 0, selfClip); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, d := range []*Document{src, dst} {
+		evs, ok := e.Bus().EventsSince(d.ID(), 0)
+		if !ok {
+			t.Fatalf("doc %v: op ring lost events", d.ID())
+		}
+		pasted := make(map[util.ID]bool)
+		var typed []util.ID
+		for _, ev := range evs {
+			switch ev.Kind {
+			case awareness.EvPaste:
+				for _, id := range ev.IDs {
+					pasted[id] = true
+				}
+			case awareness.EvInsert:
+				typed = append(typed, ev.IDs...)
+			case awareness.EvBatch:
+				for _, it := range ev.Batch {
+					switch it.Kind {
+					case awareness.EvPaste:
+						for _, id := range it.IDs {
+							pasted[id] = true
+						}
+					case awareness.EvInsert:
+						typed = append(typed, it.IDs...)
+					}
+				}
+			}
+		}
+		tree := d.Snapshot().Tree()
+		for _, id := range typed {
+			ch, ok := tree.Char(id)
+			if !ok {
+				t.Fatalf("doc %v: typed instance %v missing", d.ID(), id)
+			}
+			if !ch.SourceDoc.IsNil() {
+				t.Fatalf("doc %v: typed instance %v carries SourceDoc %v", d.ID(), id, ch.SourceDoc)
+			}
+		}
+		sourced := 0
+		tree.WalkAll(func(ch *texttree.Char, _ bool) bool {
+			if !ch.SourceDoc.IsNil() {
+				sourced++
+				if !pasted[ch.ID] {
+					t.Errorf("doc %v: sourced instance %v was not announced by an EvPaste", d.ID(), ch.ID)
+				}
+			}
+			return true
+		})
+		if d == dst && (len(typed) == 0 || sourced != 9) {
+			t.Fatalf("citer: %d typed and %d sourced instances, want some and 9", len(typed), sourced)
+		}
 	}
 }

@@ -481,3 +481,47 @@ func TestOversizeRecordRejected(t *testing.T) {
 	}
 	tx.Abort()
 }
+
+// TestInsertSurvivesStaleFreeEstimate pins the heap's recovery from a
+// free-space estimate that overstates a page, as a concurrent grow-update
+// leaves it between resizing a record and refreshing the estimate: Insert
+// and InsertBatch must check the latched page and move on, not fail with
+// ErrPageFull after logging a record the page never stored.
+func TestInsertSurvivesStaleFreeEstimate(t *testing.T) {
+	d := memDB(t)
+	tbl, _ := d.CreateTable("blobs", Schema{
+		{Name: "id", Type: TInt},
+		{Name: "data", Type: TBytes},
+	})
+	payload := bytes.Repeat([]byte("x"), 1500)
+	tx, _ := d.Begin()
+	for i := int64(1); i <= 2; i++ {
+		if _, err := tbl.Insert(tx, Row{i, payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	overstate := func() {
+		tbl.heap.mu.Lock()
+		for _, id := range tbl.heap.pages {
+			tbl.heap.free[id] = storage.PageSize
+		}
+		tbl.heap.mu.Unlock()
+	}
+	overstate()
+	if _, err := tbl.Insert(tx, Row{int64(3), payload}); err != nil {
+		t.Fatalf("insert over a stale estimate: %v", err)
+	}
+	overstate()
+	if _, err := tbl.InsertBatch(tx, []Row{{int64(4), payload}, {int64(5), payload}}); err != nil {
+		t.Fatalf("batch insert over a stale estimate: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 5; i++ {
+		row, _, err := tbl.GetByPK(nil, i)
+		if err != nil || len(row[1].([]byte)) != 1500 {
+			t.Fatalf("row %d: %v", i, err)
+		}
+	}
+}

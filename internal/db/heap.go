@@ -95,19 +95,36 @@ func (h *Heap) Insert(tx *txn.Txn, rec []byte) (RID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 
-	pageID, err := h.pickPageLocked(len(rec) + slotOverhead)
-	if err != nil {
-		return RID{}, err
-	}
-	pg, err := h.pool.Fetch(pageID)
-	if err != nil {
-		return RID{}, err
+	var (
+		pageID storage.PageID
+		pg     *storage.Page
+		sp     *storage.SlottedPage
+	)
+	for {
+		id, err := h.pickPageLocked(len(rec) + slotOverhead)
+		if err != nil {
+			return RID{}, err
+		}
+		p, err := h.pool.Fetch(id)
+		if err != nil {
+			return RID{}, err
+		}
+		p.Lock()
+		s := storage.Slotted(p)
+		if s.FreeSpace() >= len(rec)+slotOverhead {
+			pageID, pg, sp = id, p, s
+			break
+		}
+		// A concurrent Update grew a record on this page after the
+		// estimate was taken: correct it and pick again, before anything
+		// is logged for a record the page cannot hold.
+		h.free[id] = s.FreeSpace()
+		p.Unlock()
+		h.pool.Unpin(id, false)
 	}
 	defer h.pool.Unpin(pageID, true)
-	pg.Lock()
 	defer pg.Unlock()
 
-	sp := storage.Slotted(pg)
 	slot := sp.NumSlots()
 	rid := RID{Page: pageID, Slot: slot}
 	if err := tx.Lock(lockKey(h.tableID, rid), txn.Exclusive); err != nil {
@@ -176,8 +193,11 @@ func (h *Heap) InsertBatch(tx *txn.Txn, recs [][]byte) ([]RID, error) {
 			n := 0
 			for i+n < len(recs) {
 				rec := recs[i+n]
-				if n > 0 && sp.FreeSpace() < len(rec)+slotOverhead {
-					break // page exhausted mid-batch; continue on the next
+				if sp.FreeSpace() < len(rec)+slotOverhead {
+					// Page exhausted mid-batch, or a concurrent Update used
+					// up the space the estimate promised: the deferred
+					// estimate fix lets the next pick move on.
+					break
 				}
 				slot := sp.NumSlots()
 				rid := RID{Page: pageID, Slot: slot}

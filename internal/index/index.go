@@ -13,12 +13,13 @@
 // is what makes lineage folding exact under concurrency, shedding and
 // replay — counting is idempotent per instance ID.
 //
-// Freshness model: folding an event is O(1) bookkeeping (plus O(new
-// instances) for lineage); the text of a dirty document is re-tokenized
-// from its latest snapshot by a coalescing refresher, and every Query
-// first drains the dirty set — so queries are exact with respect to all
-// folded events, while a typing burst costs one re-tokenize, not one per
-// keystroke.
+// Freshness model: folding an event is O(edit). Typed inserts carry no
+// source document, so only pastes resolve their instances against a
+// snapshot (for lineage); every other event just marks its document
+// dirty. Query and Sync re-tokenize the dirty documents from their latest
+// snapshots before answering — so queries are exact with respect to all
+// folded events, while a typing burst costs one re-tokenize at the next
+// query, not one per keystroke.
 package index
 
 import (
@@ -54,7 +55,7 @@ type Stats struct {
 	Docs    int   `json:"docs"`        // documents under maintenance
 	Applied int64 `json:"applied_ops"` // events folded since Open
 	Heals   int64 `json:"heals"`       // gap heals (shed subscriptions resynced)
-	Lag     int   `json:"lag_docs"`    // docs folded but not yet re-tokenized
+	Lag     int   `json:"lag_docs"`    // dirty docs the next Query/Sync will re-tokenize
 }
 
 // Service is the incremental index over one engine: the live replacement
@@ -68,14 +69,12 @@ type Service struct {
 	ix      *search.Index
 	g       *lineage.Graph
 	cites   map[util.ID]int
-	counted map[util.ID]bool // char instances already folded into g
+	counted map[util.ID]bool // sourced char instances already folded into g
 	dirty   map[util.ID]bool // docs whose text/metadata needs re-resolving
 	states  map[util.ID]*docState
 	closed  bool
 
-	kick chan struct{} // refresher wakeup (capacity 1)
-	stop chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup // pumps
 
 	applied atomic.Int64
 	heals   atomic.Int64
@@ -100,8 +99,6 @@ func Open(eng *core.Engine, opts ...Option) (*Service, error) {
 		counted: make(map[util.ID]bool),
 		dirty:   make(map[util.ID]bool),
 		states:  make(map[util.ID]*docState),
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(&s.opts)
@@ -140,8 +137,6 @@ func Open(eng *core.Engine, opts ...Option) (*Service, error) {
 			return nil, err
 		}
 	}
-	s.wg.Add(1)
-	go s.refresher()
 	return s, nil
 }
 
@@ -181,7 +176,8 @@ func (s *Service) addDoc(id util.ID) error {
 	}
 	st := &docState{d: d, sub: sub, seq: seq}
 	s.states[id] = st
-	s.primeLocked(id, snap)
+	s.countTreeLocked(id, snap)
+	s.refreshDocLocked(id, snap)
 	s.mu.Unlock()
 
 	s.wg.Add(1)
@@ -189,23 +185,22 @@ func (s *Service) addDoc(id util.ID) error {
 	return nil
 }
 
-// primeLocked folds one document's current state into the index from an
-// immutable snapshot: the initial build for this doc, and the fallback
-// when a gap outlived the op ring. It is idempotent — counting is keyed
-// by character-instance ID, and text indexing replaces the doc's
-// contribution wholesale.
-func (s *Service) primeLocked(id util.ID, snap *core.DocSnapshot) {
+// countTreeLocked folds every character instance of an immutable snapshot
+// into the lineage graph: the initial build for this doc, and the
+// fallback when a gap outlived the op ring. It is idempotent — counting is
+// keyed by character-instance ID.
+func (s *Service) countTreeLocked(id util.ID, snap *core.DocSnapshot) {
 	snap.Tree().WalkAll(func(ch *texttree.Char, _ bool) bool {
 		s.countCharLocked(id, ch.ID, ch.SourceDoc, ch.Created)
 		return true
 	})
-	s.refreshDocLocked(id, snap)
 }
 
 // countCharLocked folds one character instance into the lineage graph,
-// exactly once per instance ID.
+// exactly once per instance ID. Unsourced instances (typed text, or a
+// paste within the document) add no edge and are never recorded.
 func (s *Service) countCharLocked(doc, char, src util.ID, created time.Time) {
-	if s.counted[char] {
+	if src.IsNil() || src == doc || s.counted[char] {
 		return
 	}
 	s.counted[char] = true
@@ -246,31 +241,31 @@ func (s *Service) fold(id util.ID, st *docState, ev awareness.Event) {
 
 // foldEventLocked applies one event's index consequences. Presence-class
 // events (join/leave/cursor/presence) carry no document state and are
-// skipped; everything else marks the doc dirty so the refresher
-// re-resolves text and metadata against the latest snapshot.
+// skipped; everything else marks the doc dirty so the next Query or Sync
+// re-resolves text and metadata against the latest snapshot. Only pastes
+// create sourced instances (typed inserts never carry SourceDoc), so they
+// alone are resolved here; undo/redo only resurface instances the tree
+// already held, which counting per instance ID has seen.
 func (s *Service) foldEventLocked(id util.ID, ev awareness.Event) {
 	switch ev.Kind {
 	case awareness.EvJoin, awareness.EvLeave, awareness.EvCursor, awareness.EvPresence:
 		return
-	case awareness.EvInsert, awareness.EvPaste:
+	case awareness.EvPaste:
 		s.countIDsLocked(id, ev.IDs)
 	case awareness.EvBatch:
 		for _, it := range ev.Batch {
-			if it.Kind == awareness.EvInsert || it.Kind == awareness.EvPaste {
+			if it.Kind == awareness.EvPaste {
 				s.countIDsLocked(id, it.IDs)
 			}
 		}
-	case awareness.EvUndo, awareness.EvRedo:
-		// Restores may resurface instances the tree already held; counting
-		// is per-instance-ID, so re-deriving from the snapshot suffices.
 	}
 	s.applied.Add(1)
-	s.markDirtyLocked(id)
+	s.dirty[id] = true
 }
 
-// countIDsLocked resolves freshly created character instances against the
-// latest committed snapshot (the event may be older than the snapshot —
-// later snapshots still contain the instances, tombstoned or not).
+// countIDsLocked resolves pasted character instances against the latest
+// committed snapshot (the event may be older than the snapshot — later
+// snapshots still contain the instances, tombstoned or not).
 func (s *Service) countIDsLocked(id util.ID, ids []util.ID) {
 	if len(ids) == 0 {
 		return
@@ -308,40 +303,20 @@ func (s *Service) healLocked(id util.ID, st *docState, gap awareness.Event) {
 		}
 		return
 	}
-	// Gap outlived the ring: rebuild this document's contribution.
+	// Gap outlived the ring: recount this document's instances; its text
+	// is re-tokenized at the next Query or Sync, like any folded edit.
 	snap, seq := st.d.SnapshotSeq()
 	if seq < gap.Seq {
 		seq = gap.Seq
 	}
 	st.seq = seq
-	s.primeLocked(id, snap)
-}
-
-func (s *Service) markDirtyLocked(id util.ID) {
+	s.countTreeLocked(id, snap)
 	s.dirty[id] = true
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
 }
 
-// refresher coalesces dirty documents: a burst of N events on one doc
-// costs one re-tokenize here, which is what keeps per-keystroke
-// maintenance cost flat as the corpus grows (E19).
-func (s *Service) refresher() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.kick:
-			s.mu.Lock()
-			s.flushDirtyLocked()
-			s.mu.Unlock()
-		}
-	}
-}
-
+// flushDirtyLocked re-tokenizes every dirty document once: a burst of N
+// events on one doc between two queries costs one re-tokenize, which is
+// what keeps per-keystroke maintenance cost flat as documents grow (E19).
 func (s *Service) flushDirtyLocked() {
 	for id := range s.dirty {
 		delete(s.dirty, id)
@@ -375,6 +350,15 @@ func (s *Service) refreshDocLocked(id util.ID, snap *core.DocSnapshot) {
 // and re-tokenized: the strong-freshness barrier tests and benchmarks
 // quiesce on.
 func (s *Service) Sync() {
+	s.waitFolded()
+	s.mu.Lock()
+	s.flushDirtyLocked()
+	s.mu.Unlock()
+}
+
+// waitFolded blocks until every event published before the call has been
+// folded (but not necessarily re-tokenized).
+func (s *Service) waitFolded() {
 	targets := make(map[util.ID]uint64)
 	s.mu.Lock()
 	for id := range s.states {
@@ -391,12 +375,10 @@ func (s *Service) Sync() {
 				break
 			}
 		}
+		s.mu.Unlock()
 		if !behind {
-			s.flushDirtyLocked()
-			s.mu.Unlock()
 			return
 		}
-		s.mu.Unlock()
 		time.Sleep(200 * time.Microsecond)
 	}
 }
@@ -483,7 +465,6 @@ func (s *Service) Close() {
 	}
 	s.mu.Unlock()
 	s.detach()
-	close(s.stop)
 	for _, sub := range subs {
 		sub.Close()
 	}

@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -207,6 +208,127 @@ func TestServiceMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestLazyRetokenizeMatchesRebuild covers the O(edit) fold: batched typing,
+// cross-document pastes and forced heals (ring replay and re-prime) reach
+// the service with no Query in between, so every re-tokenize is deferred
+// to the first Query. Until then Stats().Lag counts the dirty documents;
+// afterwards it reads 0 and every answer matches the rescan oracles.
+func TestLazyRetokenizeMatchesRebuild(t *testing.T) {
+	eng := memEngine(t)
+	live, err := index.Open(eng, index.WithQueueLimit(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+
+	var docs []*core.Document
+	for i, text := range []string{"alpha database of the editor ", "beta notes on a paper ", "gamma: the lineage of text "} {
+		d, err := eng.CreateDocument(fmt.Sprintf("user%d", i), fmt.Sprintf("doc-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.InsertText(fmt.Sprintf("user%d", i), 0, text); err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, d)
+	}
+	typeKeys := func(d *core.Document, keys string) {
+		t.Helper()
+		for _, r := range keys {
+			if _, err := d.Apply("typist", []core.EditOp{{Kind: core.EditInsert, Pos: d.Len(), Text: string(r)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	paste := func(from, to *core.Document, pos, n int) {
+		t.Helper()
+		clip, err := from.Copy("typist", pos, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := to.Paste("typist", to.Len()/2, clip); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Live folding: one-key batches, a multi-op batch, pastes both ways.
+	typeKeys(docs[0], "a typed sentence of the editor")
+	if _, err := docs[0].Apply("typist", []core.EditOp{
+		{Kind: core.EditInsert, Pos: 0, Text: "the "},
+		{Kind: core.EditInsert, AnchorPrev: true, Text: "new "},
+		{Kind: core.EditDelete, Pos: 10, N: 3},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	paste(docs[0], docs[1], 2, 9)
+	paste(docs[1], docs[2], 0, 5)
+
+	// Forced heal by ring replay: folds stall, doc-1's queue sheds.
+	release := index.HoldFolds(live)
+	typeKeys(docs[1], " of a database")
+	paste(docs[2], docs[0], 1, 7)
+	release()
+
+	// Forced heal by re-prime: the shed gap outlives a two-event ring.
+	eng.Bus().SetRetention(2)
+	release = index.HoldFolds(live)
+	typeKeys(docs[2], " the editor")
+	paste(docs[0], docs[2], 3, 6)
+	release()
+	index.WaitFolded(live)
+	eng.Bus().SetRetention(0)
+
+	st := live.Stats()
+	if st.Heals < 2 {
+		t.Fatalf("%d heals, want a ring replay and a re-prime", st.Heals)
+	}
+	if st.Lag != len(docs) {
+		t.Fatalf("lag %d before the first query, want all %d edited docs", st.Lag, len(docs))
+	}
+
+	oracleIx, err := search.BuildIndex(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleG, err := lineage.Build(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries() {
+		want, err := oracleIx.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := live.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResults(t, fmt.Sprintf("lazy rank=%s terms=%v headings=%v", q.Rank, q.Terms, q.InHeadings), want, got)
+		if i == 0 {
+			if lag := live.Stats().Lag; lag != 0 {
+				t.Fatalf("lag %d after a query, want 0", lag)
+			}
+		}
+	}
+	requireSameGraph(t, "lazy graph", oracleG, live.Graph())
+	for _, d := range docs {
+		if w, g := oracleG.CitationCount(d.ID()), live.CitationCount(d.ID()); w != g {
+			t.Fatalf("doc %v: citations %d, rebuild %d", d.ID(), g, w)
+		}
+	}
+
+	// Sync drains the dirty set too.
+	typeKeys(docs[1], "z")
+	index.WaitFolded(live)
+	if lag := live.Stats().Lag; lag != 1 {
+		t.Fatalf("lag %d after one key, want 1", lag)
+	}
+	live.Sync()
+	if lag := live.Stats().Lag; lag != 0 {
+		t.Fatalf("lag %d after Sync, want 0", lag)
+	}
+}
+
 // TestQueryAfterClose pins the lifecycle contract.
 func TestQueryAfterClose(t *testing.T) {
 	eng := memEngine(t)
@@ -267,44 +389,34 @@ func TestClusterEquivalenceUnderStorm(t *testing.T) {
 			user := fmt.Sprintf("user%d", w)
 			for i := 0; i < editsPerWriter; i++ {
 				d := docs[rng.Intn(nDocs)]
+				var err error
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3, 4: // type
-					pos := rng.Intn(d.Len() + 1)
-					if _, err := d.InsertText(user, pos, fmt.Sprintf("w%d-%d ", w, i)); err != nil {
-						errs <- err
-						return
-					}
+					_, err = d.InsertText(user, rng.Intn(d.Len()+1), fmt.Sprintf("w%d-%d ", w, i))
 				case 5: // delete
 					if n := d.Len(); n > 4 {
-						if _, err := d.DeleteRange(user, rng.Intn(n-3), 2); err != nil {
-							errs <- err
-							return
-						}
+						_, err = d.DeleteRange(user, rng.Intn(n-3), 2)
 					}
 				case 6, 7: // cross-document (often cross-shard) paste
 					src := docs[rng.Intn(nDocs)]
 					if src == d || src.Len() < 6 {
 						continue
 					}
-					clip, err := src.Copy(user, rng.Intn(src.Len()-5), 4)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if _, err := d.Paste(user, rng.Intn(d.Len()+1), clip); err != nil {
-						errs <- err
-						return
+					var clip core.Clipboard
+					if clip, err = src.Copy(user, rng.Intn(src.Len()-5), 4); err == nil {
+						_, err = d.Paste(user, rng.Intn(d.Len()+1), clip)
 					}
 				case 8: // metadata
-					if err := d.SetState(user, fmt.Sprintf("rev-%d", i)); err != nil {
-						errs <- err
-						return
-					}
+					err = d.SetState(user, fmt.Sprintf("rev-%d", i))
 				case 9: // read event
-					if _, err := d.RecordRead(user); err != nil {
-						errs <- err
-						return
-					}
+					_, err = d.RecordRead(user)
+				}
+				if errors.Is(err, core.ErrRange) {
+					continue // a racing writer shrank the doc after the position was drawn
+				}
+				if err != nil {
+					errs <- err
+					return
 				}
 			}
 		}(w)

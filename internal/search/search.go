@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"tendax/internal/core"
 	"tendax/internal/folders"
@@ -126,18 +127,48 @@ func (ix *Index) indexDoc(info core.DocInfo) error {
 // heading strings.
 func HeadingText(text string, spans []core.Span, rangeOf func(core.Span) (int, int)) string {
 	var hb strings.Builder
-	runes := []rune(text)
+	c := runeCursor{s: text}
 	for _, s := range spans {
 		if s.Kind != core.SpanHeading {
 			continue
 		}
 		from, to := rangeOf(s)
-		if from < len(runes) && to <= len(runes) && from < to {
-			hb.WriteString(string(runes[from:to]))
+		if from >= to {
+			continue
+		}
+		i, okFrom := c.offset(from)
+		j, okTo := c.offset(to)
+		if okFrom && okTo {
+			hb.WriteString(text[i:j])
 			hb.WriteString(" ")
 		}
 	}
 	return strings.ToLower(hb.String())
+}
+
+// runeCursor maps rune indices of one string to byte offsets by walking
+// forward from the previous lookup, so rune-addressed slicing never
+// decodes the whole text; an index before the cursor restarts the walk.
+type runeCursor struct {
+	s        string
+	idx, off int // rune index idx starts at byte off
+}
+
+// offset returns the byte offset of rune index k, or false when s has
+// fewer than k runes (k equal to the rune count maps to len(s)).
+func (c *runeCursor) offset(k int) (int, bool) {
+	if k < c.idx {
+		c.idx, c.off = 0, 0
+	}
+	for c.idx < k {
+		if c.off == len(c.s) {
+			return 0, false
+		}
+		_, w := utf8.DecodeRuneInString(c.s[c.off:])
+		c.off += w
+		c.idx++
+	}
+	return c.off, true
 }
 
 // UpdateDoc replaces one document's contribution to the index with the
@@ -365,11 +396,13 @@ func (ix *Index) rank(rs []Result, r Ranker) {
 }
 
 func firstN(s string, n int) string {
-	r := []rune(s)
-	if len(r) <= n {
-		return s
+	for i := range s {
+		if n == 0 {
+			return string([]rune(s[:i])) + "…" // invalid bytes become U+FFFD
+		}
+		n--
 	}
-	return string(r[:n]) + "…"
+	return s
 }
 
 // Freshness of metadata used by rankers decays as documents change; call

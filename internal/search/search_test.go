@@ -1,6 +1,8 @@
 package search
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,5 +196,64 @@ func TestLimitAndSnippet(t *testing.T) {
 	}
 	if ix.DocCount() != 3 {
 		t.Fatalf("DocCount = %d", ix.DocCount())
+	}
+}
+
+// TestRuneWalkMatchesRuneSlices pins firstN and HeadingText, which walk
+// runes instead of converting the whole text, to the []rune slicing they
+// replaced: byte-identical output on multi-byte and invalid UTF-8, for
+// spans in any order, empty, reversed or past the end.
+func TestRuneWalkMatchesRuneSlices(t *testing.T) {
+	refFirstN := func(s string, n int) string {
+		r := []rune(s)
+		if len(r) <= n {
+			return s
+		}
+		return string(r[:n]) + "…"
+	}
+	refHeading := func(text string, ranges [][2]int) string {
+		var hb strings.Builder
+		runes := []rune(text)
+		for _, rg := range ranges {
+			from, to := rg[0], rg[1]
+			if from < len(runes) && to <= len(runes) && from < to {
+				hb.WriteString(string(runes[from:to]))
+				hb.WriteString(" ")
+			}
+		}
+		return strings.ToLower(hb.String())
+	}
+	alphabet := []string{"a", "B", " ", "é", "Ω", "世", "🙂", "\xff", "\xe4\xb8"}
+	rng := rand.New(rand.NewSource(12))
+	for iter := 0; iter < 2000; iter++ {
+		var sb strings.Builder
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		text := sb.String()
+		for _, n := range []int{0, 1, 5, 39, 80} {
+			if got, want := firstN(text, n), refFirstN(text, n); got != want {
+				t.Fatalf("firstN(%q, %d) = %q, want %q", text, n, got, want)
+			}
+		}
+		var spans []core.Span
+		var ranges [][2]int // heading ranges, in span order
+		byID := map[util.ID][2]int{}
+		for i, n := 0, rng.Intn(5); i < n; i++ {
+			sp := core.Span{ID: util.ID(i + 1), Kind: core.SpanHeading}
+			if rng.Intn(4) == 0 {
+				sp.Kind = core.SpanBold
+			}
+			rg := [2]int{rng.Intn(45), rng.Intn(45)}
+			spans = append(spans, sp)
+			byID[sp.ID] = rg
+			if sp.Kind == core.SpanHeading {
+				ranges = append(ranges, rg)
+			}
+		}
+		rangeOf := func(sp core.Span) (int, int) { return byID[sp.ID][0], byID[sp.ID][1] }
+		if got, want := HeadingText(text, spans, rangeOf), refHeading(text, ranges); got != want {
+			t.Fatalf("HeadingText(%q, %v) = %q, want %q", text, ranges, got, want)
+		}
 	}
 }

@@ -92,7 +92,11 @@ func TestHelloVerPinsV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := d.Seq()
 	if err := d.Append("hello"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WaitSeq(base+1, 500); err != nil {
 		t.Fatal(err)
 	}
 	if text := d.Text(); text != "hello" {
