@@ -1,403 +1,30 @@
-// Benchmarks regenerating the TeNDaX experiments (DESIGN.md §12): one
-// benchmark per experiment E1–E10. cmd/tendax-bench prints the
-// corresponding human-readable tables; these give the testing.B numbers.
+// BenchmarkExperiments runs the TeNDaX reproduction experiments E1–E19
+// (internal/experiments, DESIGN.md §12) under testing.B: one sub-benchmark
+// per experiment, each iteration a full quick-mode run, reporting the
+// experiment's metrics. cmd/tendax-bench runs the same code and prints the
+// tables; select one experiment with e.g. -bench 'Experiments/E11$'.
 package tendax_test
 
 import (
-	"fmt"
+	"strings"
 	"testing"
-	"time"
 
-	"tendax/internal/client"
-	"tendax/internal/core"
-	"tendax/internal/db"
-	"tendax/internal/folders"
-	"tendax/internal/index"
-	"tendax/internal/mining"
-	"tendax/internal/search"
-	"tendax/internal/security"
-	"tendax/internal/server"
-	"tendax/internal/storage"
-	"tendax/internal/util"
-	"tendax/internal/wal"
-	"tendax/internal/workflow"
-	"tendax/internal/workload"
+	"tendax/internal/experiments"
 )
 
-func benchEngine(b *testing.B) (*core.Engine, *db.Database) {
-	b.Helper()
-	database, err := db.Open(db.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := core.NewEngine(database, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return eng, database
-}
-
-// BenchmarkE1CollaborativeEditing measures committed append operations per
-// second with N concurrent editors over real TCP (§3, the LAN party).
-func BenchmarkE1CollaborativeEditing(b *testing.B) {
-	for _, editors := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("editors=%d", editors), func(b *testing.B) {
-			eng, database := benchEngine(b)
-			defer database.Close()
-			srv := server.New(eng, nil)
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go srv.Serve()
-			defer srv.Close()
-
-			host, err := client.Dial(addr.String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer host.Close()
-			host.Login("host", "")
-			docID, err := host.CreateDocument("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			docs := make([]*client.Doc, editors)
-			for i := range docs {
-				c, err := client.Dial(addr.String())
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				c.Login(fmt.Sprintf("u%d", i), "")
-				if docs[i], err = c.Open(docID); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			done := make(chan error, editors)
-			per := b.N / editors
-			if per == 0 {
-				per = 1
-			}
-			for i := 0; i < editors; i++ {
-				go func(d *client.Doc, i int) {
-					for j := 0; j < per; j++ {
-						if err := d.Append("x"); err != nil {
-							done <- err
-							return
-						}
-					}
-					done <- nil
-				}(docs[i], i)
-			}
-			for i := 0; i < editors; i++ {
-				if err := <-done; err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE2EditTransaction measures one single-character insert
-// transaction at random positions in documents of increasing size (§2:
-// "very fast transactions for all editing tasks").
-func BenchmarkE2EditTransaction(b *testing.B) {
-	for _, size := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("docsize=%d", size), func(b *testing.B) {
-			eng, database := benchEngine(b)
-			defer database.Close()
-			doc, err := eng.CreateDocument("u", "bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := util.NewRand(1)
-			for doc.Len() < size {
-				if _, err := doc.AppendText("u", rng.Letters(512)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All {
+		b.Run(strings.ToUpper(e.ID), func(b *testing.B) {
+			var rep experiments.Report
 			for i := 0; i < b.N; i++ {
-				pos := rng.Intn(doc.Len())
-				if _, err := doc.InsertText("u", pos, "x"); err != nil {
+				var err error
+				if rep, err = e.Run(experiments.Config{Quick: true}); err != nil {
 					b.Fatal(err)
 				}
+			}
+			for name, m := range rep.Metrics {
+				b.ReportMetric(m.Value, name)
 			}
 		})
 	}
-}
-
-// BenchmarkE3UndoRedo measures one undo+redo round trip against a deep
-// two-user history (§3, local and global undo/redo).
-func BenchmarkE3UndoRedo(b *testing.B) {
-	for _, depth := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("history=%d", depth), func(b *testing.B) {
-			eng, database := benchEngine(b)
-			defer database.Close()
-			doc, err := eng.CreateDocument("alice", "bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := util.NewRand(2)
-			for i := 0; i < depth; i++ {
-				user := "alice"
-				if i%2 == 1 {
-					user = "bob"
-				}
-				if _, err := doc.AppendText(user, rng.Letters(5)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := doc.UndoLocal("alice"); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := doc.RedoLocal("alice"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE4Workflow measures one complete business process: define, two
-// tasks, one dynamic insertion with re-route, full completion (§3).
-func BenchmarkE4Workflow(b *testing.B) {
-	eng, database := benchEngine(b)
-	defer database.Close()
-	sec, err := security.NewStore(eng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wf, err := workflow.NewStore(eng, sec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sec.CreateUser("coord", "pw")
-	sec.CreateUser("tina", "pw", "translator")
-	doc, err := eng.CreateDocument("coord", "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc.AppendText("coord", "body")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := wf.Define("coord", doc.ID(), "p")
-		if err != nil {
-			b.Fatal(err)
-		}
-		t1, err := wf.AddTask("coord", p.ID, "translate", "", "role:translator", util.NilID, util.NilID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t2, err := wf.InsertTaskAfter("coord", p.ID, t1.ID, "verify", "", "user:coord")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := wf.Accept("tina", t1.ID); err != nil {
-			b.Fatal(err)
-		}
-		if err := wf.Complete("tina", t1.ID, ""); err != nil {
-			b.Fatal(err)
-		}
-		if err := wf.Accept("coord", t2.ID); err != nil {
-			b.Fatal(err)
-		}
-		if err := wf.Complete("coord", t2.ID, ""); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE5DynamicFolders measures one evaluation of the paper's flagship
-// dynamic folder ("read by user within the last week") over corpora of
-// increasing size (§3).
-func BenchmarkE5DynamicFolders(b *testing.B) {
-	for _, docs := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("docs=%d", docs), func(b *testing.B) {
-			eng, database := benchEngine(b)
-			defer database.Close()
-			if _, err := workload.BuildCorpus(eng, workload.CorpusSpec{
-				Docs: docs, Users: 8, MeanSize: 100, ReadRatio: 0.5, Seed: 4,
-			}); err != nil {
-				b.Fatal(err)
-			}
-			fstore, err := folders.NewStore(eng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			folder, err := fstore.CreateDynamic("user0", "f",
-				folders.ReadBy{User: "user0", Within: 7 * 24 * time.Hour})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fstore.Eval(folder); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE6Lineage measures building the full provenance graph (Figure 1)
-// from the character store.
-func BenchmarkE6Lineage(b *testing.B) {
-	eng, database := benchEngine(b)
-	defer database.Close()
-	if _, _, err := workload.BuildPasteChains(eng, workload.PasteChainSpec{
-		Depth: 4, FanOut: 3, ChunkLen: 32, Externals: 3, Seed: 5,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc, err := index.Open(eng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g := svc.Graph()
-		svc.Close()
-		if len(g.Edges) == 0 {
-			b.Fatal("empty graph")
-		}
-	}
-}
-
-// BenchmarkE7VisualMining measures feature extraction plus the 2-D PCA
-// layout of the document space (Figure 2).
-func BenchmarkE7VisualMining(b *testing.B) {
-	eng, database := benchEngine(b)
-	defer database.Close()
-	if _, err := workload.BuildCorpus(eng, workload.CorpusSpec{
-		Docs: 200, Users: 10, MeanSize: 150, ReadRatio: 0.5, Seed: 6,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	svc, err := index.Open(eng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := svc.Graph()
-	svc.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feats, err := mining.Extract(eng, g, eng.Clock().Now())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if pts := mining.Layout(feats); len(pts) != 200 {
-			b.Fatal("layout lost documents")
-		}
-	}
-}
-
-// BenchmarkE8Search measures one ranked content query against a prebuilt
-// index (§3, search with ranking options).
-func BenchmarkE8Search(b *testing.B) {
-	for _, ranker := range []search.Ranker{search.ByRelevance, search.ByNewest, search.ByMostCited} {
-		b.Run(string(ranker), func(b *testing.B) {
-			eng, database := benchEngine(b)
-			defer database.Close()
-			if _, err := workload.BuildCorpus(eng, workload.CorpusSpec{
-				Docs: 300, Users: 8, MeanSize: 150, ReadRatio: 0.4, Seed: 7,
-			}); err != nil {
-				b.Fatal(err)
-			}
-			svc, err := index.Open(eng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer svc.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := svc.Query(search.Query{Terms: []string{"a"}, Rank: ranker, Limit: 10}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE9Recovery measures crash recovery (ARIES analysis+redo+undo)
-// after an editing storm with a torn log tail.
-func BenchmarkE9Recovery(b *testing.B) {
-	for _, ops := range []int{200, 1000} {
-		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
-			disk := storage.NewMemDisk()
-			store := wal.NewMemStore()
-			database, err := db.OpenWith(disk, store, db.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, err := core.NewEngine(database, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			doc, err := eng.CreateDocument("u", "bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := util.NewRand(8)
-			for i := 0; i < ops; i++ {
-				if _, err := doc.AppendText("u", rng.Letters(4)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			logBytes, err := store.ReadAll()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Fresh crash image each iteration: stale pages + full log.
-				crashDisk := storage.NewMemDisk()
-				crashStore := wal.NewMemStore()
-				crashStore.Append(logBytes)
-				crashStore.Truncate(crashStore.Len() - 3)
-				if _, err := db.OpenWith(crashDisk, crashStore, db.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE10PasteAblation compares paste-with-provenance against plain
-// insertion of the same text (the metadata-gathering overhead).
-func BenchmarkE10PasteAblation(b *testing.B) {
-	const chunk = 64
-	b.Run("with-provenance", func(b *testing.B) {
-		eng, database := benchEngine(b)
-		defer database.Close()
-		src, _ := eng.CreateDocument("u", "src")
-		src.AppendText("u", util.NewRand(9).Letters(chunk*2))
-		clip, err := src.Copy("u", 0, chunk)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst, _ := eng.CreateDocument("u", "dst")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := dst.Paste("u", dst.Len(), clip); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("plain-insert", func(b *testing.B) {
-		eng, database := benchEngine(b)
-		defer database.Close()
-		text := util.NewRand(9).Letters(chunk)
-		dst, _ := eng.CreateDocument("u", "dst")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := dst.InsertText("u", dst.Len(), text); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -1,13 +1,13 @@
-// Command tendax-bench runs the TeNDaX reproduction experiments E1–E15
-// (see DESIGN.md and EXPERIMENTS.md) and prints one table per experiment.
-// E6 additionally writes lineage.dot (Figure 1), E7 prints the
-// document-space scatter (Figure 2), and -json writes the key metrics of
-// the experiments that ran as a machine-readable report for the CI
-// regression gate (cmd/tendax-trend).
+// Command tendax-bench runs the TeNDaX reproduction experiments E1–E19
+// (internal/experiments; see DESIGN.md and EXPERIMENTS.md) and prints one
+// table per experiment. E6 additionally writes lineage.dot (Figure 1), E7
+// prints the document-space scatter (Figure 2), and -json writes the key
+// metrics of the experiments that ran as a machine-readable report for the
+// CI regression gate (cmd/tendax-trend).
 //
 // Usage:
 //
-//	tendax-bench [-exp all|e1|e2|...|e15] [-quick] [-out lineage.dot] [-json report.json]
+//	tendax-bench [-exp all|e1|e2|...|e19] [-quick] [-out lineage.dot] [-json report.json]
 package main
 
 import (
@@ -17,6 +17,8 @@ import (
 	"log"
 	"os"
 	"strings"
+
+	"tendax/internal/experiments"
 )
 
 func main() {
@@ -26,43 +28,19 @@ func main() {
 	jsonOut := flag.String("json", "", "write machine-readable metrics of the experiments run to this file")
 	flag.Parse()
 
-	runs := []struct {
-		id   string
-		name string
-		fn   func(quick bool, out string) error
-	}{
-		{"e1", "Collaborative editing over TCP (LAN party, §3)", runE1},
-		{"e2", "Real-time edit transaction latency (§2)", runE2},
-		{"e3", "Local and global undo/redo (§3)", runE3},
-		{"e4", "Business process definition and flow (§3)", runE4},
-		{"e5", "Dynamic folders (§3)", runE5},
-		{"e6", "Data lineage — Figure 1", runE6},
-		{"e7", "Visual mining — Figure 2", runE7},
-		{"e8", "Search with ranking options (§3)", runE8},
-		{"e9", "Crash recovery and durability (§2)", runE9},
-		{"e10", "Provenance-capture overhead ablation", runE10},
-		{"e11", "Group-commit durability pipeline", runE11},
-		{"e12", "Fuzzy checkpoints and bounded recovery", runE12},
-		{"e13", "Snapshot reads: MVCC mixed read/write workload", runE13},
-		{"e14", "Tombstone compaction and cold archive", runE14},
-		{"e15", "Protocol v2: batched pipelined editing and delta resync", runE15},
-		{"e16", "Binary wire codec (v3) and the allocation-lean commit path", runE16},
-		{"e17", "Multi-tenant event stream: shed-and-resync storm and typed throttling", runE17},
-		{"e18", "Per-process engine sharding: cross-shard typing storm", runE18},
-		{"e19", "Incremental index maintenance vs. rescan; query p50 under write load", runE19},
-	}
-	ran := 0
-	for _, r := range runs {
-		if *exp != "all" && !strings.EqualFold(*exp, r.id) {
+	var reports []experiments.Report
+	for _, e := range experiments.All {
+		if *exp != "all" && !strings.EqualFold(*exp, e.ID) {
 			continue
 		}
-		fmt.Printf("\n=== %s: %s ===\n", strings.ToUpper(r.id), r.name)
-		if err := r.fn(*quick, *out); err != nil {
-			log.Fatalf("%s: %v", r.id, err)
+		fmt.Printf("\n=== %s: %s ===\n", strings.ToUpper(e.ID), e.Name)
+		rep, err := e.Run(experiments.Config{Quick: *quick, Out: *out, W: os.Stdout})
+		if err != nil {
+			log.Fatalf("%s: %v", e.ID, err)
 		}
-		ran++
+		reports = append(reports, rep)
 	}
-	if ran == 0 {
+	if len(reports) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}

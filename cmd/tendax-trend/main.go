@@ -2,8 +2,10 @@
 // machine-readable metric reports written by `tendax-bench -json` against
 // the committed baseline (bench/baseline.json) and fails when any metric
 // regresses by more than the tolerance in its "better" direction.
-// Improvements never fail the gate; metrics present on only one side are
-// reported but not gating (new experiments land before their baseline).
+// Improvements never fail the gate. A metric measured but missing from the
+// baseline is reported and does not gate (new experiments land before
+// their baseline); a baseline metric that was not measured fails the gate,
+// so a metric cannot silently drop out of the report.
 //
 // Usage:
 //
@@ -15,25 +17,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+
+	"tendax/internal/experiments"
 )
 
-type metric struct {
-	Value  float64 `json:"value"`
-	Unit   string  `json:"unit"`
-	Better string  `json:"better"`
-}
-
-type report struct {
-	Experiment string            `json:"experiment"`
-	Metrics    map[string]metric `json:"metrics"`
-}
-
-func readReports(path string) ([]report, error) {
+func readReports(path string) ([]experiments.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rs []report
+	var rs []experiments.Report
 	if err := json.Unmarshal(data, &rs); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -54,7 +48,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tendax-trend: %v\n", err)
 		os.Exit(2)
 	}
-	baseline := make(map[string]metric) // "exp/name" -> metric
+	baseline := make(map[string]experiments.Metric) // "exp/name" -> metric
 	for _, r := range base {
 		for name, m := range r.Metrics {
 			baseline[r.Experiment+"/"+name] = m
@@ -99,13 +93,19 @@ func main() {
 			}
 		}
 	}
+	var missing []string
 	for key := range baseline {
 		if !seen[key] {
-			fmt.Printf("%-34s  (baseline metric not measured this run)\n", key)
+			missing = append(missing, key)
 		}
 	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "tendax-trend: %d metric(s) regressed beyond %.0f%%\n", failures, *tolerance*100)
+	sort.Strings(missing)
+	for _, key := range missing {
+		fmt.Printf("%-34s  MISSING (baseline metric not measured this run)\n", key)
+	}
+	if failures > 0 || len(missing) > 0 {
+		fmt.Fprintf(os.Stderr, "tendax-trend: %d metric(s) regressed beyond %.0f%%, %d baseline metric(s) not measured\n",
+			failures, *tolerance*100, len(missing))
 		os.Exit(1)
 	}
 	fmt.Println("tendax-trend: perf trajectory within tolerance")

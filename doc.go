@@ -18,7 +18,7 @@
 // §3, the fuzzy-checkpoint/recovery protocol, §4, the MVCC snapshot read
 // path, §5, and the ID-anchored batched editing protocol v2, §7) and
 // EXPERIMENTS.md for the reproduction of every figure and demonstrated
-// capability. The *_bench_test.go files in this directory hold one
-// benchmark per experiment (E1–E15); cmd/tendax-bench prints the
-// corresponding tables.
+// capability. The experiments E1–E19 live in internal/experiments:
+// cmd/tendax-bench prints their tables, and BenchmarkExperiments in this
+// directory runs the same code under testing.B.
 package tendax

@@ -1,23 +1,16 @@
 package tendax_test
 
 import (
-	"strings"
 	"testing"
 
-	"tendax/internal/client"
-	"tendax/internal/core"
 	"tendax/internal/protocol"
 )
 
-// BenchmarkE16BinaryCodec measures the protocol-v3 binary codec and the
-// allocation-lean commit path (EXPERIMENTS.md E16).
-//
-// The encode/decode sub-benchmarks isolate the codec itself on a
-// representative edit-batch acknowledgement (sequential instance IDs, the
-// common case the RLE ID-list encoding targets); the session
-// sub-benchmarks run the full durable typing path over real TCP and a
-// file-backed WAL under each framing. Run with -benchmem: allocs/op per
-// durable keystroke is one of the gated trajectory metrics.
+// BenchmarkE16BinaryCodec isolates the protocol-v3 binary codec
+// (EXPERIMENTS.md E16) on a representative edit-batch acknowledgement
+// (sequential instance IDs, the common case the RLE ID-list encoding
+// targets). The durable typing sessions and the Apply-path allocation
+// count run as experiment E16 (BenchmarkExperiments/E16).
 func BenchmarkE16BinaryCodec(b *testing.B) {
 	ack := &protocol.Message{
 		Type: protocol.TypeResponse,
@@ -59,61 +52,4 @@ func BenchmarkE16BinaryCodec(b *testing.B) {
 			}
 		}
 	})
-
-	typing := func(b *testing.B, maxVer int) {
-		addr, _ := benchServer(b)
-		c, err := client.Dial(addr,
-			client.WithMaxVersion(maxVer), client.WithUser("u"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		if ver := c.Ver(); ver != maxVer {
-			b.Fatalf("hello: negotiated v%d, want v%d", ver, maxVer)
-		}
-		docID, err := c.CreateDocument("e16")
-		if err != nil {
-			b.Fatal(err)
-		}
-		d, err := c.Open(docID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sess, err := d.Session()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sess.Type("x"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := sess.Wait(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("v2-session-json", func(b *testing.B) { typing(b, protocol.Version2) })
-	b.Run("v3-session-binary", func(b *testing.B) { typing(b, protocol.Version3) })
-}
-
-// BenchmarkE16Apply measures the engine's batched Apply path directly —
-// the pooled batch staging, arena-allocated character records, and the
-// single-splice InsertRun — with no protocol or TCP in the way. Each
-// benchmark op is one 128-keystroke batch.
-func BenchmarkE16Apply(b *testing.B) {
-	_, eng := benchServer(b)
-	doc, err := eng.CreateDocument("bench", "e16-apply")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ops := []core.EditOp{{Kind: core.EditInsert, Pos: 0, Text: strings.Repeat("x", 128)}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := doc.ApplyAsync("bench", ops); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -1,19 +1,17 @@
 // E18 micro-benchmarks: the per-process sharding layer. The placement
 // decision sits on every request path of a multi-shard server, so
 // BenchmarkE18ShardFor pins its cost (pure ID arithmetic — no table, no
-// lock). BenchmarkE18StridedIDGen measures document-ID minting on a shard's
-// residue class against the dense single-engine generator, and
-// BenchmarkE18CrossShardCommit measures commit throughput of a 4-shard
-// in-memory cluster with writers spread round-robin. The full storm
-// (file-backed WALs, durable keystrokes/s, 1 vs 2 vs 4 shards) runs as
-// `tendax-bench -exp e18`.
+// lock). BenchmarkE18StridedIDGen measures document-ID minting on a
+// shard's residue class against the dense single-engine generator. The
+// cross-shard typing storm (file-backed WALs, durable keystrokes/s, 1 vs 2
+// vs 4 shards) runs as experiment E18: `tendax-bench -exp e18` or
+// BenchmarkExperiments/E18.
 package tendax
 
 import (
 	"fmt"
 	"testing"
 
-	"tendax/internal/core"
 	"tendax/internal/placement"
 	"tendax/internal/util"
 )
@@ -43,36 +41,6 @@ func BenchmarkE18StridedIDGen(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = g.Next()
 			}
-		})
-	}
-}
-
-func BenchmarkE18CrossShardCommit(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			cl, err := placement.Open(placement.Options{Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			const writers = 4
-			docs := make([]*core.Document, writers)
-			for i := range docs {
-				if docs[i], err = cl.CreateDocument("bench", fmt.Sprintf("d%d", i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					d := docs[i%writers]
-					i++
-					if _, err := d.InsertText("typist", 0, "x"); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		})
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"tendax/internal/wal"
 )
 
-// TestCheckpointCompactsLog: after a checkpoint, the log holds one record,
-// reopen recovers almost nothing, and all data is intact.
+// TestCheckpointCompactsLog: after a quiet fuzzy checkpoint the log holds
+// only the begin/end pair, reopen redoes nothing, and all data is intact.
+// Close takes the same checkpoint: it leaves no dirty page behind, and the
+// next Open analyzes just that pair.
 func TestCheckpointCompactsLog(t *testing.T) {
 	disk := storage.NewMemDisk()
 	store := wal.NewMemStore()
@@ -25,7 +27,7 @@ func TestCheckpointCompactsLog(t *testing.T) {
 	}
 	tx.Commit()
 	sizeBefore := store.Len()
-	if err := d.Checkpoint(); err != nil {
+	if _, err := d.FuzzyCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() >= sizeBefore {
@@ -47,6 +49,24 @@ func TestCheckpointCompactsLog(t *testing.T) {
 	if err != nil || row[1].(string) != "doc-42" {
 		t.Fatalf("row 42 = %v, %v", row, err)
 	}
+
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if dirty := d2.Pool().DirtyPages(); len(dirty) != 0 {
+		t.Fatalf("Close left %d dirty pages", len(dirty))
+	}
+	d3, err := OpenWith(disk, store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d3.Recovery.Analyzed != 2 || d3.Recovery.CheckpointLSN == 0 {
+		t.Fatalf("reopen after Close analyzed %d records (checkpoint LSN %d), want the begin/end pair",
+			d3.Recovery.Analyzed, d3.Recovery.CheckpointLSN)
+	}
+	if d3.Table("t").Count() != 100 {
+		t.Fatalf("rows after Close and reopen = %d", d3.Table("t").Count())
+	}
 }
 
 // TestEditsAfterCheckpointRecover: a crash after a checkpoint replays only
@@ -65,7 +85,7 @@ func TestEditsAfterCheckpointRecover(t *testing.T) {
 		tbl.Insert(tx, sampleRow(i))
 	}
 	tx.Commit()
-	if err := d.Checkpoint(); err != nil {
+	if _, err := d.FuzzyCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-checkpoint edits: update an old row and insert new ones.
@@ -113,7 +133,7 @@ func TestRepeatedCheckpoints(t *testing.T) {
 			}
 		}
 		tx.Commit()
-		if err := d.Checkpoint(); err != nil {
+		if _, err := d.FuzzyCheckpoint(); err != nil {
 			t.Fatal(err)
 		}
 		if store.Len() > maxLog {

@@ -76,8 +76,8 @@ type Database struct {
 	catalog *Table
 	nextTID uint64
 
-	// ckptMu serialises log maintenance: fuzzy checkpoints, the legacy
-	// quiescent Checkpoint/Compact, and Close. Writers are never behind it.
+	// ckptMu serialises fuzzy checkpoints (background, explicit and the one
+	// Close takes). Writers are never behind it.
 	ckptMu   sync.Mutex
 	ckpts    uint64
 	ckptErr  error // last background checkpoint failure, for diagnostics
@@ -326,28 +326,6 @@ func (d *Database) CreateTable(name string, schema Schema, indexCols ...string) 
 	return tbl, nil
 }
 
-// Checkpoint flushes all dirty pages and, when no transaction is in
-// flight, compacts the write-ahead log to a single checkpoint record. It is
-// the quiescent degenerate case of FuzzyCheckpoint (empty dirty-page and
-// active-transaction tables), kept for shutdown and for callers that can
-// guarantee a quiet moment.
-func (d *Database) Checkpoint() error {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	//tendax:allow-locksync ckptMu serializes checkpoints only; no commit or read path takes it, and flushing under it is the checkpoint's job
-	if err := d.log.Flush(); err != nil {
-		return err
-	}
-	if err := d.pool.FlushAll(); err != nil {
-		return err
-	}
-	if d.tm.ActiveCount() == 0 {
-		//tendax:allow-locksync ckptMu serializes checkpoints only; compaction is the quiescent checkpoint's final step
-		return d.log.Compact()
-	}
-	return nil
-}
-
 // FuzzyCheckpoint takes a non-quiescent checkpoint: it writes back pages
 // dirtied before now (advancing the redo horizon), captures the dirty-page
 // and active-transaction tables into a begin/end checkpoint record pair,
@@ -449,14 +427,16 @@ func (d *Database) startCheckpointer(interval time.Duration, maxBytes int64) {
 	}()
 }
 
-// Close checkpoints and releases all resources.
+// Close takes a final fuzzy checkpoint and releases all resources. With
+// no writer left the checkpoint writes back every dirty page and truncates
+// the log to its begin/end pair, so the next Open analyzes two records.
 func (d *Database) Close() error {
 	if d.ckptStop != nil {
 		close(d.ckptStop)
 		<-d.ckptDone
 		d.ckptStop = nil
 	}
-	if err := d.Checkpoint(); err != nil {
+	if _, err := d.FuzzyCheckpoint(); err != nil {
 		return err
 	}
 	if err := d.log.Close(); err != nil {

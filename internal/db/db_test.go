@@ -525,3 +525,53 @@ func TestInsertSurvivesStaleFreeEstimate(t *testing.T) {
 		}
 	}
 }
+
+// TestGrowUpdateRelocationRecovers pins log-before-apply on the update
+// path: a grow-update the page cannot hold must fail before it is logged,
+// so Table.Update relocates the row without leaving a RecUpdate that redo
+// could never apply.
+func TestGrowUpdateRelocationRecovers(t *testing.T) {
+	disk := storage.NewMemDisk()
+	store := wal.NewMemStore()
+	d, err := OpenWith(disk, store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := d.CreateTable("blobs", Schema{
+		{Name: "id", Type: TInt},
+		{Name: "data", Type: TBytes},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := d.Begin()
+	for i := int64(1); i <= 3; i++ {
+		if _, err := tbl.Insert(tx, Row{i, bytes.Repeat([]byte("a"), 1200)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	grown := bytes.Repeat([]byte("b"), 2000)
+	tx, _ = d.Begin()
+	if err := tbl.UpdateByPK(tx, 1, Row{int64(1), grown}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	crashDisk, crashStore := crashImage(t, disk, store, 0)
+	d2, err := OpenWith(crashDisk, crashStore, Options{})
+	if err != nil {
+		t.Fatalf("recovery after a relocating update: %v", err)
+	}
+	row, _, err := d2.Table("blobs").GetByPK(nil, 1)
+	if err != nil || !bytes.Equal(row[1].([]byte), grown) {
+		t.Fatalf("row 1 after recovery: %v", err)
+	}
+	if n := d2.Table("blobs").Count(); n != 3 {
+		t.Fatalf("rows after recovery = %d, want 3", n)
+	}
+}

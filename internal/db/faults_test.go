@@ -45,7 +45,7 @@ func TestWriteFaultSurfacesOnCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd.failWrites.Store(true)
-	if err := d.Checkpoint(); err == nil {
+	if _, err := d.FuzzyCheckpoint(); err == nil {
 		t.Fatal("checkpoint swallowed the injected write fault")
 	}
 	// Data remains intact: after clearing the fault, reads still work.

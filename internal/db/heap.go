@@ -264,6 +264,11 @@ func (h *Heap) Update(tx *txn.Txn, rid RID, rec []byte) error {
 		if err != nil {
 			return ErrNotFound
 		}
+		if !sp.UpdateFits(rid.Slot, len(rec)) {
+			// Refuse before logging: Table.Update relocates the row, and
+			// redo must never meet an update the page could not take.
+			return storage.ErrPageFull
+		}
 		before = append([]byte(nil), cur...)
 		lsn, err := h.log.Append(&wal.Record{
 			Type: wal.RecUpdate, TxnID: tx.ID(), PrevLSN: tx.LastLSN(),

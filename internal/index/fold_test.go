@@ -72,3 +72,42 @@ func TestTypedKeyFoldIsOEdit(t *testing.T) {
 		t.Fatalf("allocs per typed key grew from %.0f at 1 KiB to %.0f at 64 KiB", small, big)
 	}
 }
+
+// TestCloseReleasesWaitFolded: a waiter whose document can never catch
+// up — its pump is made to look one event behind — returns once the
+// service closes instead of waiting forever.
+func TestCloseReleasesWaitFolded(t *testing.T) {
+	database, err := db.Open(db.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer database.Close()
+	eng, err := core.NewEngine(database, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := eng.CreateDocument("alice", "chapter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AppendText("alice", "text"); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.waitFolded()
+	s.mu.Lock()
+	s.states[d.ID()].seq-- // the pump now owes an event no one will publish
+	s.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		s.waitFolded()
+		close(done)
+	}()
+	// Give the waiter time to park; it must return in either order.
+	time.Sleep(10 * time.Millisecond)
+	s.Close()
+	<-done
+}

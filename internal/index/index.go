@@ -73,6 +73,9 @@ type Service struct {
 	dirty   map[util.ID]bool // docs whose text/metadata needs re-resolving
 	states  map[util.ID]*docState
 	closed  bool
+	// folded is broadcast (on mu) whenever a pump may have advanced a
+	// doc's seq, and on Close: waitFolded sleeps on it.
+	folded sync.Cond
 
 	wg sync.WaitGroup // pumps
 
@@ -100,6 +103,7 @@ func Open(eng *core.Engine, opts ...Option) (*Service, error) {
 		dirty:   make(map[util.ID]bool),
 		states:  make(map[util.ID]*docState),
 	}
+	s.folded.L = &s.mu
 	for _, o := range opts {
 		o(&s.opts)
 	}
@@ -228,6 +232,7 @@ func (s *Service) fold(id util.ID, st *docState, ev awareness.Event) {
 	if s.closed {
 		return
 	}
+	defer s.folded.Broadcast()
 	if ev.Kind == awareness.EvGap {
 		s.healLocked(id, st, ev)
 		return
@@ -357,29 +362,23 @@ func (s *Service) Sync() {
 }
 
 // waitFolded blocks until every event published before the call has been
-// folded (but not necessarily re-tokenized).
+// folded (but not necessarily re-tokenized), or the service is closed.
 func (s *Service) waitFolded() {
-	targets := make(map[util.ID]uint64)
 	s.mu.Lock()
-	for id := range s.states {
-		targets[id] = s.eng.Bus().Seq(id)
+	defer s.mu.Unlock()
+	behind := make(map[util.ID]uint64)
+	for id, st := range s.states {
+		if want := s.eng.Bus().Seq(id); st.seq < want {
+			behind[id] = want
+		}
 	}
-	s.mu.Unlock()
-	for {
-		behind := false
-		s.mu.Lock()
-		for id, want := range targets {
-			st := s.states[id]
-			if st != nil && st.seq < want {
-				behind = true
-				break
+	for len(behind) > 0 && !s.closed {
+		s.folded.Wait()
+		for id, want := range behind {
+			if s.states[id].seq >= want {
+				delete(behind, id)
 			}
 		}
-		s.mu.Unlock()
-		if !behind {
-			return
-		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 
@@ -459,6 +458,7 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
+	s.folded.Broadcast()
 	subs := make([]*awareness.Subscription, 0, len(s.states))
 	for _, st := range s.states {
 		subs = append(subs, st.sub)

@@ -105,3 +105,45 @@ func TestUpdateRestoresOldRecordWhenStillFull(t *testing.T) {
 		t.Fatalf("old record lost after failed grow: %d bytes, %v", len(got), err)
 	}
 }
+
+// TestUpdateFitsPredictsUpdate checks UpdateFits against Update itself on
+// fragmented pages: every grow, shrink and oversize request must be
+// predicted exactly, since write-ahead callers log on its say-so.
+func TestUpdateFitsPredictsUpdate(t *testing.T) {
+	rng := util.NewRand(5)
+	for round := 0; round < 200; round++ {
+		pg := &Page{}
+		sp := InitSlotted(pg)
+		var live []int
+		for {
+			s, err := sp.Insert(bytes.Repeat([]byte{1}, 50+rng.Intn(400)))
+			if err != nil {
+				break
+			}
+			live = append(live, s)
+		}
+		// Fragment: delete some records and grow others in place.
+		for i := 0; i < len(live); i++ {
+			if rng.Intn(3) == 0 {
+				if err := sp.Delete(live[i]); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:i], live[i+1:]...)
+				i--
+			}
+		}
+		for i := 0; i < 8; i++ {
+			slot := live[rng.Intn(len(live))]
+			n := rng.Intn(PageSize)
+			want := sp.UpdateFits(slot, n)
+			twin := &Page{data: pg.data}
+			err := Slotted(twin).Update(slot, bytes.Repeat([]byte{2}, n))
+			if got := err == nil; got != want {
+				t.Fatalf("round %d: UpdateFits(%d, %d) = %v, Update err = %v", round, slot, n, want, err)
+			}
+			if err == nil {
+				pg.data = twin.data
+			}
+		}
+	}
+}

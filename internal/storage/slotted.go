@@ -230,6 +230,29 @@ func (sp *SlottedPage) Update(slot int, rec []byte) error {
 	return nil
 }
 
+// UpdateFits reports whether Update(slot, rec) with len(rec) == n would
+// succeed, without touching the page: write-ahead callers check it before
+// logging, so the log never holds an update the page could not apply.
+func (sp *SlottedPage) UpdateFits(slot, n int) bool {
+	_, length := sp.slot(slot)
+	switch {
+	case n <= length:
+		return true
+	case n >= deadLen:
+		return false
+	case n <= sp.FreeSpace()+slotSize:
+		return true // fast path: fits without compaction
+	}
+	// Update's fallback compacts the page without the slot's old copy.
+	live := 0
+	for i := 0; i < sp.numSlots(); i++ {
+		if _, l := sp.slot(i); i != slot && l != deadLen {
+			live += l
+		}
+	}
+	return n <= PageSize-live-(slotTableStart+sp.numSlots()*slotSize)
+}
+
 // contiguousFree returns the bytes available between the slot table and the
 // record area, without reserving room for a new slot entry.
 func (sp *SlottedPage) contiguousFree() int {

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tendax/internal/storage"
 )
 
 // TestGroupCommitDurability drives many concurrent committers through the
@@ -104,8 +106,10 @@ func TestGroupCommitCloseFlushesPending(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCompact verifies checkpoint compaction drains the flusher
-// and leaves a consistent single-checkpoint log.
+// TestGroupCommitCompact verifies that a checkpoint taken while the
+// group-commit flusher runs leaves a consistent log — only the begin/end
+// pair survives truncation — and that LSNs stay monotonic across it and
+// across a reopen.
 func TestGroupCommitCompact(t *testing.T) {
 	store := NewMemStore()
 	log, err := Open(store)
@@ -125,8 +129,14 @@ func TestGroupCommitCompact(t *testing.T) {
 	if err := log.WaitFlushed(last); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Compact(); err != nil {
+	res, err := log.FuzzyCheckpoint(
+		func() ([]storage.DirtyPage, error) { return nil, nil },
+		func() []ActiveTxn { return nil })
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.BeginLSN <= last {
+		t.Fatalf("checkpoint begin LSN %d not above pre-checkpoint %d", res.BeginLSN, last)
 	}
 	var types []RecordType
 	if err := log.Iterate(func(r *Record) error {
@@ -135,19 +145,26 @@ func TestGroupCommitCompact(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(types) != 1 || types[0] != RecCheckpoint {
-		t.Fatalf("after compact: %v, want exactly one checkpoint", types)
+	if len(types) != 2 || types[0] != RecCkptBegin || types[1] != RecCkptEnd {
+		t.Fatalf("after checkpoint: %v, want exactly the begin/end pair", types)
 	}
-	// LSNs continue monotonically past the checkpoint.
+	// LSNs continue monotonically past the checkpoint, and after reopen.
 	lsn, err := log.Append(&Record{Type: RecBegin, TxnID: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn <= last {
-		t.Fatalf("post-compact LSN %d not above pre-compact %d", lsn, last)
+	if lsn <= res.EndLSN {
+		t.Fatalf("post-checkpoint LSN %d not above end record %d", lsn, res.EndLSN)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
+	}
+	log2, err := Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next := log2.NextLSN(); next != lsn+1 {
+		t.Fatalf("reopened NextLSN=%d, want %d", next, lsn+1)
 	}
 }
 

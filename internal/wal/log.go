@@ -33,10 +33,13 @@ const (
 	RecCommit
 	RecAbort // abort completed (all undone)
 	RecUpdate
-	RecCLR        // compensation record written while undoing
-	RecCheckpoint // legacy quiescent checkpoint (Compact)
-	RecCkptBegin  // fuzzy checkpoint started
-	RecCkptEnd    // fuzzy checkpoint complete; After carries CheckpointBody
+	RecCLR // compensation record written while undoing
+	// RecCheckpoint is the retired quiescent checkpoint. Nothing writes
+	// it and recovery ignores it; it stays so RecCkptBegin and RecCkptEnd
+	// keep their on-disk numbers.
+	RecCheckpoint
+	RecCkptBegin // fuzzy checkpoint started
+	RecCkptEnd   // fuzzy checkpoint complete; After carries CheckpointBody
 )
 
 func (t RecordType) String() string {
@@ -499,47 +502,6 @@ func (l *Log) NextLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.nextLSN
-}
-
-// Compact discards the entire log and writes a fresh checkpoint record.
-// The caller must guarantee that every logged effect is durable in the page
-// store (pages flushed) and that no transaction is in flight. LSNs continue
-// monotonically: the checkpoint record carries the current high LSN, so
-// page LSNs stamped before compaction stay comparable after reopen.
-func (l *Log) Compact() error {
-	// Drain the group-commit flusher first: with no transaction in flight
-	// (the caller's guarantee) the pending buffer stays empty afterwards,
-	// so the flusher cannot touch the store while we reset it below.
-	if err := l.Flush(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.pending) > 0 {
-		if err := l.store.Append(l.pending); err != nil {
-			return err
-		}
-		l.pending = l.pending[:0]
-	}
-	if err := l.store.Reset(); err != nil {
-		return err
-	}
-	rec := &Record{LSN: l.nextLSN, Type: RecCheckpoint}
-	l.nextLSN++
-	payload := encode(rec)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	buf := append(hdr[:], payload...)
-	if err := l.store.Append(buf); err != nil {
-		return err
-	}
-	if err := l.store.Sync(); err != nil {
-		return err
-	}
-	l.appended = rec.LSN
-	l.flushed = rec.LSN
-	return nil
 }
 
 // Close stops the group-commit flusher (if running), flushes, and closes

@@ -19,9 +19,6 @@ type Store interface {
 	Sync() error
 	// Size returns the current store length in bytes.
 	Size() (int64, error)
-	// Reset discards all content (checkpoint compaction: every logged
-	// effect is already durable in the page store).
-	Reset() error
 	// TruncateHead atomically discards the first off bytes (fuzzy-
 	// checkpoint log reclamation: every record below the redo point is
 	// already durable in the page store). The caller guarantees off lies on
@@ -78,19 +75,6 @@ func (s *FileStore) Size() (int64, error) {
 		return 0, err
 	}
 	return st.Size(), nil
-}
-
-// Reset implements Store.
-func (s *FileStore) Reset() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := s.f.Seek(0, 0); err != nil {
-		return err
-	}
-	return s.f.Sync()
 }
 
 // TruncateHead implements Store. The retained suffix is streamed to a
@@ -191,14 +175,6 @@ func (s *MemStore) Size() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return int64(len(s.data)), nil
-}
-
-// Reset implements Store.
-func (s *MemStore) Reset() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data = s.data[:0]
-	return nil
 }
 
 // TruncateHead implements Store.
